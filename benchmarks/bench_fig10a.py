@@ -25,7 +25,6 @@ from repro.bench.harness import (
 )
 from repro.datasets.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.index.matching import SequenceMatcher
-from repro.kernels import packed_enabled
 
 N_DOCS = 6000
 DOC_SIZE = 30
@@ -111,7 +110,7 @@ def bench_json_payload():
         cm = index.tree.descent_misses - m0
         dh = index.docid_tree.descent_hits - dh0
         dm = index.docid_tree.descent_misses - dm0
-        kernels = {"packed": packed_enabled()}
+        kernels = {}
         if ch + cm:
             kernels["combined_descent_hit_rate"] = ch / (ch + cm)
         # the timed phase never touches the DocId tree (the paper excludes

@@ -34,7 +34,6 @@ from repro.bench.harness import (
 from repro.bench.workloads import TABLE3_QUERIES
 from repro.datasets.dblp import DblpConfig, DblpGenerator
 from repro.datasets.xmark import XmarkConfig, XmarkGenerator
-from repro.kernels import packed_enabled
 
 N_DBLP = 1500
 N_XMARK = 1500
@@ -159,7 +158,7 @@ def bench_json_payload():
         sharded = sharded_throughput(
             _corpus_docs["dblp"], dblp_queries, workers_list=(1, 2, 4), repeats=3
         )
-    # packed-kernel figures: query-phase descent-cache effectiveness
+    # kernels block: query-phase descent-cache effectiveness
     # aggregated over both dataset indexes, counted from the post-build
     # snapshot (the combined-tree rate is the regression-gated one — the
     # single-slot cache thrashed at ~8% there even query-side)
@@ -171,7 +170,6 @@ def bench_json_payload():
         docid_hits += index.docid_tree.descent_hits - dh0
         docid_misses += index.docid_tree.descent_misses - dm0
     kernels = {
-        "packed": packed_enabled(),
         "combined_descent_hit_rate": (
             combined_hits / (combined_hits + combined_misses)
             if combined_hits + combined_misses

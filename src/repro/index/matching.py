@@ -17,16 +17,15 @@ will instantiate the ``*`` in ``(v2, P*L)``").
 
 :class:`SequenceMatcher` is shared by RIST and ViST — they differ only in
 how entries were labelled, which the host index hides behind
-:meth:`MatchingHost.iter_candidates` / :meth:`MatchingHost.iter_doc_ids`.
+:meth:`MatchingHost.fetch_postings` / :meth:`MatchingHost.iter_doc_ids`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Protocol
+from dataclasses import dataclass
+from typing import Iterator, Protocol
 
 from repro.index.postings import PostingGroup
-from repro.kernels import packed_enabled
 from repro.labeling.scope import Scope
 from repro.obs.metrics import MetricSet
 from repro.query.ast import Dslash, PrefixToken, QueryItem, QuerySequence, Star
@@ -178,54 +177,36 @@ class MatchingHost(Protocol):
     def max_prefix_len(self) -> int:
         """Longest item prefix in the index (bounds ``//`` sweeps)."""
 
-    def iter_candidates(
-        self,
-        symbol,
-        prefix_len: int,
-        leading: tuple[str, ...],
-        within: Scope,
-    ) -> Iterator[tuple[Prefix, Scope]]:
-        """Nodes with the given symbol/prefix-length whose prefix starts
-        with ``leading`` and whose id lies in ``(within.n, within.end]``."""
+    def fetch_postings(
+        self, symbol, prefix_len: int, leading: tuple[str, ...]
+    ) -> PostingGroup:
+        """Every node with the given symbol/prefix-length whose prefix
+        starts with ``leading``, as one group sorted by label ``n``."""
 
     def iter_doc_ids(self, within: Scope) -> Iterator[int]:
         """Document ids attached in the closed range ``[n, n + size]``."""
 
 
 GroupMemo = dict[tuple, PostingGroup]
+State = tuple[int, int, Bindings]  # (n, end, bindings) of one frontier node
 
 
 class SequenceMatcher:
     """Algorithm 2, parameterised by a :class:`MatchingHost`.
 
-    By default the walk is a *batched level-by-level frontier*: all live
-    states at one query position are expanded together, and states that
-    resolve to the same D-Ancestor key ``(symbol, prefix_len, leading)``
-    share a single posting fetch per level (turning O(states × scans)
-    into O(distinct keys) index traversals).  ``batched=False`` keeps the
-    original depth-first recursion — same answers, used as the reference
-    implementation in equivalence tests.
-
-    ``packed`` selects the *columnar* frontier for the batched walk: the
-    per-level expansion consumes :class:`PostingGroup`'s packed columns
-    directly (``select_span`` + index arithmetic over ``ns``/``ends``/
-    ``prefixes``) and carries states as ``(n, end, bindings)`` int
-    triples, never materialising ``(Prefix, Scope)`` tuples per posting.
-    ``packed=None`` (default) follows the ``REPRO_PACKED`` environment
-    toggle at query time; both settings produce identical answers and
-    identical :class:`MatchStats`.
+    The walk is a level-by-level columnar frontier.  All live states at
+    one query position are expanded together, and states that resolve to
+    the same D-Ancestor key ``(symbol, prefix_len, leading)`` share one
+    posting fetch per level (O(distinct keys) index traversals instead of
+    O(states × scans)).  A state is an ``(n, end, bindings)`` triple and
+    expansion reads :class:`PostingGroup`'s ``ns``/``ends``/``prefixes``
+    columns in place (``select_span`` plus index arithmetic), so no
+    per-posting ``(Prefix, Scope)`` tuple is ever built.  The independent
+    reference for its answers is :mod:`repro.testing.reference`.
     """
 
-    def __init__(
-        self,
-        host: MatchingHost,
-        *,
-        batched: bool = True,
-        packed: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, host: MatchingHost) -> None:
         self.host = host
-        self.batched = batched
-        self.packed = packed
         # Effort of the most recent *completed* match.  Each match runs
         # against its own private MatchStats (threaded through the call
         # chain, never stored on self mid-flight) and publishes it here
@@ -271,102 +252,14 @@ class SequenceMatcher:
         # cache-delta attribution is approximate under concurrency (the
         # posting cache is shared, so other in-flight matches' traffic
         # lands in the window too); exact for single-threaded runs
-        before = (
-            (postings.stats.hits, postings.stats.misses)
-            if postings is not None
-            else None
-        )
-        if self.batched:
-            packed = packed_enabled() if self.packed is None else self.packed
-            if packed:
-                finals = self._final_scopes_packed(query, stats, guard, trace)
-            else:
-                finals = self._final_scopes_batched(query, stats, guard, trace)
-        else:
-            finals = self._final_scopes_recursive(query, stats, guard, trace)
-        if before is not None:
-            stats.cache_hits = postings.stats.hits - before[0]
-            stats.cache_misses = postings.stats.misses - before[1]
-        stats.final_nodes = len(finals)
-        self.stats = stats  # one reference assignment: match_stats readers
-        return finals  # never see a half-filled bundle
-
-    def _final_scopes_batched(
-        self, query: QuerySequence, stats: MatchStats, guard, trace
-    ) -> list[Scope]:
-        """Level-by-level frontier expansion with shared posting fetches."""
-        items = query.items
+        if postings is not None:
+            hits_before, misses_before = postings.stats.hits, postings.stats.misses
         max_len = self.host.max_prefix_len()
         if trace is not None:
             pager = getattr(self.host, "_pager", None)
-            postings = getattr(self.host, "postings", None)
-        frontier: list[tuple[Scope, Bindings]] = [(self.host.root_scope(), ())]
-        for level, qi in enumerate(items):
-            if trace is not None:
-                span = trace.begin(
-                    f"level {level}", item=str(qi), frontier_in=len(frontier)
-                )
-                rq0, cand0 = stats.range_queries, stats.candidates
-                bat0 = stats.batched_states
-                pages0 = pager.read_count if pager is not None else 0
-                if postings is not None:
-                    hits0, misses0 = postings.stats.hits, postings.stats.misses
-            groups: GroupMemo = {}
-            next_frontier: list[tuple[Scope, Bindings]] = []
-            seen: set[tuple[int, Bindings]] = set()
-            for scope, bindings in frontier:
-                stats.search_states += 1
-                if guard is not None:
-                    guard.step()
-                for child, new_bindings in self._candidates(
-                    qi, scope, bindings, max_len, stats, guard, groups
-                ):
-                    stats.candidates += 1
-                    state = (child.n, new_bindings)
-                    if state not in seen:
-                        seen.add(state)
-                        next_frontier.append((child, new_bindings))
-            frontier = next_frontier
-            if trace is not None:
-                meta = {
-                    "frontier_out": len(frontier),
-                    "range_queries": stats.range_queries - rq0,
-                    "candidates": stats.candidates - cand0,
-                    "batched": stats.batched_states - bat0,
-                }
-                if pager is not None:
-                    meta["page_reads"] = pager.read_count - pages0
-                if postings is not None:
-                    meta["cache_hits"] = postings.stats.hits - hits0
-                    meta["cache_misses"] = postings.stats.misses - misses0
-                trace.end(span, **meta)
-            if not frontier:
-                break
-        finals: list[Scope] = []
-        seen_finals: set[int] = set()
-        for scope, _ in frontier:
-            if scope.n not in seen_finals:
-                seen_finals.add(scope.n)
-                finals.append(scope)
-        return finals
-
-    def _final_scopes_packed(
-        self, query: QuerySequence, stats: MatchStats, guard, trace
-    ) -> list[Scope]:
-        """Columnar variant of the batched frontier (same answers/stats).
-
-        States are ``(n, end, bindings)`` int triples and expansion reads
-        the posting columns in place — no per-posting ``Scope``/tuple
-        allocation until the final frontier is turned back into scopes.
-        """
-        items = query.items
-        max_len = self.host.max_prefix_len()
-        if trace is not None:
-            pager = getattr(self.host, "_pager", None)
-            postings = getattr(self.host, "postings", None)
         root = self.host.root_scope()
-        frontier: list[tuple[int, int, Bindings]] = [(root.n, root.end, ())]
-        for level, qi in enumerate(items):
+        frontier: list[State] = [(root.n, root.end, ())]
+        for level, qi in enumerate(query.items):
             if trace is not None:
                 span = trace.begin(
                     f"level {level}", item=str(qi), frontier_in=len(frontier)
@@ -377,13 +270,13 @@ class SequenceMatcher:
                 if postings is not None:
                     hits0, misses0 = postings.stats.hits, postings.stats.misses
             groups: GroupMemo = {}
-            next_frontier: list[tuple[int, int, Bindings]] = []
+            next_frontier: list[State] = []
             seen: set[tuple[int, Bindings]] = set()
             for n, end, bindings in frontier:
                 stats.search_states += 1
                 if guard is not None:
                     guard.step()
-                self._expand_packed(
+                self._expand(
                     qi, n, end, bindings, max_len, stats, guard, groups, seen,
                     next_frontier,
                 )
@@ -409,9 +302,14 @@ class SequenceMatcher:
             if n not in seen_finals:
                 seen_finals.add(n)
                 finals.append(Scope(n, end - n))
-        return finals
+        if postings is not None:
+            stats.cache_hits = postings.stats.hits - hits_before
+            stats.cache_misses = postings.stats.misses - misses_before
+        stats.final_nodes = len(finals)
+        self.stats = stats  # one reference assignment: match_stats readers
+        return finals  # never see a half-filled bundle
 
-    def _expand_packed(
+    def _expand(
         self,
         qi: QueryItem,
         n: int,
@@ -422,13 +320,14 @@ class SequenceMatcher:
         guard,
         groups: GroupMemo,
         seen: set[tuple[int, Bindings]],
-        out: list[tuple[int, int, Bindings]],
+        out: list[State],
     ) -> None:
-        """Expand one packed state over the posting columns, in place.
+        """Append the children of state ``(n, end, bindings)`` matching ``qi``.
 
-        Mirrors ``_candidates`` + the dedup loop of the tuple frontier:
-        identical counter increments, identical candidate order, identical
-        ``(child_n, bindings)`` dedup — only the representation differs.
+        One D/S-Ancestor lookup per candidate prefix length: the group's
+        postings with label in ``(n, end]``, filtered by the open tail of
+        the prefix pattern.  New ``(child_n, bindings)`` states are
+        deduplicated level-wide through ``seen``.
         """
         leading, tail = resolve_pattern(qi.prefix, bindings)
         if not tail:
@@ -472,111 +371,6 @@ class SequenceMatcher:
                         seen.add(state)
                         out.append((child_n, child_end, new_bindings))
 
-    def _final_scopes_recursive(
-        self, query: QuerySequence, stats: MatchStats, guard, trace
-    ) -> list[Scope]:
-        """The paper's depth-first recursion (reference implementation)."""
-        finals: list[Scope] = []
-        seen_finals: set[int] = set()
-        visited: set[tuple[int, int, Bindings]] = set()
-        items = query.items
-        max_len = self.host.max_prefix_len()
-        if trace is not None:
-            pager = getattr(self.host, "_pager", None)
-            pages0 = pager.read_count if pager is not None else 0
-            walk_span = trace.begin("recursive-walk", items=len(items))
-
-        def search(scope: Scope, i: int, bindings: Bindings) -> None:
-            if i == len(items):
-                if scope.n not in seen_finals:
-                    seen_finals.add(scope.n)
-                    finals.append(scope)
-                return
-            state = (i, scope.n, bindings)
-            if state in visited:
-                return
-            visited.add(state)
-            stats.search_states += 1
-            if guard is not None:
-                guard.step()
-            qi = items[i]
-            for child_scope, new_bindings in self._candidates(
-                qi, scope, bindings, max_len, stats, guard
-            ):
-                stats.candidates += 1
-                search(child_scope, i + 1, new_bindings)
-
-        try:
-            search(self.host.root_scope(), 0, ())
-        finally:
-            if trace is not None:
-                trace.end(
-                    walk_span,
-                    search_states=stats.search_states,
-                    range_queries=stats.range_queries,
-                    candidates=stats.candidates,
-                    final_scopes=len(finals),
-                    page_reads=(
-                        (pager.read_count - pages0) if pager is not None else 0
-                    ),
-                )
-        return finals
-
-    # -- candidate generation ---------------------------------------------
-
-    def _candidates(
-        self,
-        qi: QueryItem,
-        scope: Scope,
-        bindings: Bindings,
-        max_len: int,
-        stats: MatchStats,
-        guard,
-        groups: Optional[GroupMemo] = None,
-    ) -> Iterator[tuple[Scope, Bindings]]:
-        leading, tail = resolve_pattern(qi.prefix, bindings)
-        if not tail:
-            # fully concrete prefix: a single D-Ancestor key, scope range
-            stats.range_queries += 1
-            if guard is not None:
-                guard.step()
-            for _, child in self._lookup(
-                qi.symbol, len(leading), leading, scope, groups, stats
-            ):
-                yield child, bindings
-            return
-        min_extra = sum(1 for t in tail if isinstance(t, (str, Star)))
-        if all(not isinstance(t, Dslash) for t in tail):
-            lengths = [len(leading) + min_extra]
-        else:
-            lengths = range(len(leading) + min_extra, max_len + 1)
-        for plen in lengths:
-            stats.range_queries += 1
-            if guard is not None:
-                guard.step()
-            for data_prefix, child in self._lookup(
-                qi.symbol, plen, leading, scope, groups, stats
-            ):
-                for new_bindings in match_prefix_pattern(
-                    tail, data_prefix[len(leading) :], bindings
-                ):
-                    yield child, new_bindings
-
-    def _lookup(
-        self,
-        symbol,
-        prefix_len: int,
-        leading: tuple[str, ...],
-        scope: Scope,
-        groups: Optional[GroupMemo],
-        stats: MatchStats,
-    ) -> Iterable[tuple[Prefix, Scope]]:
-        """One D/S-Ancestor lookup, batched through the level memo."""
-        if groups is None:
-            return self.host.iter_candidates(symbol, prefix_len, leading, scope)
-        group = self._group(symbol, prefix_len, leading, groups, stats)
-        return group.select(scope)
-
     def _group(
         self,
         symbol,
@@ -589,21 +383,7 @@ class SequenceMatcher:
         key = (symbol, prefix_len, leading)
         group = groups.get(key)
         if group is None:
-            groups[key] = group = self._fetch_group(symbol, prefix_len, leading)
+            groups[key] = group = self.host.fetch_postings(symbol, prefix_len, leading)
         else:
             stats.batched_states += 1
         return group
-
-    def _fetch_group(
-        self, symbol, prefix_len: int, leading: tuple[str, ...]
-    ) -> PostingGroup:
-        fetch = getattr(self.host, "fetch_postings", None)
-        if fetch is not None:
-            return fetch(symbol, prefix_len, leading)
-        # Host implements only the narrow protocol: collect the group by
-        # scanning under the root scope (every data node lies inside it).
-        return PostingGroup(
-            self.host.iter_candidates(
-                symbol, prefix_len, leading, self.host.root_scope()
-            )
-        )

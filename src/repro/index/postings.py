@@ -2,7 +2,7 @@
 
 A *posting group* is the full set of combined-tree entries under one
 D-Ancestor scan key ``(symbol, prefix_len, leading)`` — exactly the key
-range :meth:`~repro.index.store.CombinedTreeHost.iter_candidates` scans —
+range :meth:`~repro.index.store.CombinedTreeHost.fetch_postings` scans —
 decoded once and kept sorted by the S-Ancestor label ``n``.  With the
 group resident, a scope-restricted lookup is two :func:`bisect` calls
 over the ``n`` column instead of a root-to-leaf B+Tree descent plus a
@@ -14,7 +14,7 @@ of times per branch query and again for every later query).
 structure: the B+Trees stay byte-identical, the cache is dropped on
 reopen and invalidated (per affected key group) on ``insert``/``remove``.
 Scope labels never change once assigned (Section 3.4: "labels, once
-assigned, stay fixed"), so cached ``(prefix, Scope)`` pairs only go stale
+assigned, stay fixed"), so cached postings only go stale
 when an entry is *added to* or *removed from* a group — which is what
 :meth:`PostingCache.invalidate_entry` covers.
 """
@@ -25,9 +25,8 @@ import threading
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable
 
-from repro.kernels import pack_ints
 from repro.labeling.scope import Scope
 from repro.obs.metrics import MetricSet
 from repro.sequence.encoding import Prefix
@@ -58,54 +57,34 @@ def _intern_prefix(prefix: Prefix) -> Prefix:
 
 
 class PostingGroup:
-    """One D-Ancestor key group as packed parallel columns, sorted by ``n``.
+    """One D-Ancestor key group as parallel columns, sorted by ``n``.
 
     The postings live in three columns: ``ns`` and ``ends`` (the
-    S-Ancestor label and scope end, packed to ``array('q')`` by
-    :func:`repro.kernels.pack_ints` when they fit int64, plain lists
-    otherwise) and ``prefixes`` (interned prefix tuples).  The batched
-    matcher consumes the columns directly via :meth:`select_span` —
-    two bisects plus index arithmetic, no per-posting object churn.
-    ``entries`` (the old list-of-``(Prefix, Scope)`` view) is
-    materialised lazily for the serial/reference paths and cached.
+    S-Ancestor label and scope end ``n + size``, plain lists of exact
+    ints — ViST labels range over ``[0, 2**256)``) and ``prefixes``
+    (interned prefix tuples).  The matcher reads the columns in place
+    via :meth:`select_span`: two bisects plus index arithmetic, no
+    per-posting object churn.
     """
 
-    __slots__ = ("ns", "ends", "prefixes", "_entries")
+    __slots__ = ("ns", "ends", "prefixes")
 
     def __init__(self, postings: Iterable[Posting]) -> None:
         ordered = sorted(postings, key=lambda posting: posting[1].n)
-        self.ns = pack_ints([scope.n for _, scope in ordered])
-        self.ends = pack_ints([scope.end for _, scope in ordered])
+        self.ns: list[int] = [scope.n for _, scope in ordered]
+        self.ends: list[int] = [scope.end for _, scope in ordered]
         self.prefixes: tuple[Prefix, ...] = tuple(
             _intern_prefix(prefix) for prefix, _ in ordered
         )
-        self._entries: Optional[list[Posting]] = None
-
-    @property
-    def entries(self) -> list[Posting]:
-        """Tuple view ``[(prefix, Scope), ...]``, built once on demand."""
-        entries = self._entries
-        if entries is None:
-            entries = [
-                (prefix, Scope(n, end - n))
-                for prefix, n, end in zip(self.prefixes, self.ns, self.ends)
-            ]
-            self._entries = entries
-        return entries
 
     def select_span(self, n: int, end: int) -> tuple[int, int]:
         """Column index range of postings with label in ``(n, end]``.
 
-        ``bisect_right(ns, n)`` equals the old ``bisect_left(ns, n + 1)``
-        for integer columns — first label strictly greater than ``n``.
+        ``bisect_right(ns, n)`` equals ``bisect_left(ns, n + 1)`` for
+        integer columns — first label strictly greater than ``n``.
         """
         ns = self.ns
         return bisect_right(ns, n), bisect_right(ns, end)
-
-    def select(self, within: Scope) -> list[Posting]:
-        """Postings whose ``n`` lies in the S-Ancestor range ``(n, n+size]``."""
-        lo, hi = self.select_span(within.n, within.end)
-        return self.entries[lo:hi]
 
     def __len__(self) -> int:
         return len(self.ns)

@@ -49,8 +49,6 @@ class RistIndex(XmlIndexBase, CombinedTreeHost):
         source_store=None,
         max_alternatives: int = 24,
         posting_cache_size: int = 512,
-        batched: bool = True,
-        packed: Optional[bool] = None,
     ) -> None:
         XmlIndexBase.__init__(
             self, encoder, docstore,
@@ -60,7 +58,7 @@ class RistIndex(XmlIndexBase, CombinedTreeHost):
         self.tree = BPlusTree(self._pager, slot=0)
         self.docid_tree = BPlusTree(self._pager, slot=1)
         self.postings = PostingCache(posting_cache_size) if posting_cache_size else None
-        self._matcher = SequenceMatcher(self, batched=batched, packed=packed)
+        self._matcher = SequenceMatcher(self)
         self.trie: Optional[SequenceTrie] = SequenceTrie()
         self._root_scope: Optional[Scope] = None
         self._register_host_metrics()

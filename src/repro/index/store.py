@@ -141,8 +141,8 @@ class CombinedTreeHost:
     groups are decoded once and kept resident, and every lookup becomes
     two bisects over the cached group (the on-disk layout is untouched;
     hosts must call :meth:`_invalidate_postings` when entries appear or
-    disappear).  With ``postings = None`` every lookup is a fresh B+Tree
-    range scan — the paper's original access path.
+    disappear).  With ``postings = None`` every group fetch is a fresh
+    B+Tree range scan.
     """
 
     tree: BPlusTree
@@ -168,43 +168,13 @@ class CombinedTreeHost:
         if depth > self.max_prefix_len():
             self.tree.put(META_MAX_DEPTH_KEY, encode_uint(depth))
 
-    def iter_candidates(
-        self,
-        symbol: Symbol,
-        prefix_len: int,
-        leading: tuple[str, ...],
-        within: Scope,
-    ) -> Iterator[tuple[Prefix, Scope]]:
-        if self.postings is not None:
-            yield from self.fetch_postings(symbol, prefix_len, leading).select(within)
-            return
-        stem = encode_tuple((symbol, prefix_len, *leading))
-        if prefix_len == len(leading):
-            # concrete prefix: bound the scan by the S-Ancestor range too
-            lo = stem + encode_tuple((within.n + 1,))
-            hi = stem + encode_tuple((within.end,))
-            for key, value in self.tree.range(lo, hi, include_hi=True):
-                prefix, n = _group_key_tail(key, stem, leading, 0)
-                scope = self._scope_of(n, value)
-                if scope is not None:
-                    yield prefix, scope
-            return
-        extra = prefix_len - len(leading)
-        for key, value in self.tree.range(stem, prefix_range_end(stem)):
-            prefix, n = _group_key_tail(key, stem, leading, extra)
-            if not within.contains_descendant_id(n):
-                continue
-            scope = self._scope_of(n, value)
-            if scope is not None:
-                yield prefix, scope
-
     def fetch_postings(
         self, symbol: Symbol, prefix_len: int, leading: tuple[str, ...]
     ) -> PostingGroup:
         """The whole D-Ancestor key group, sorted by ``n`` (cached if enabled).
 
-        This is the batched-matching entry point: one fetch serves every
-        scope restriction over the group via :meth:`PostingGroup.select`.
+        This is the matcher's only lookup: one fetch serves every scope
+        restriction over the group via :meth:`PostingGroup.select_span`.
         """
         if self.postings is None:
             return PostingGroup(self._load_postings(symbol, prefix_len, leading))

@@ -80,8 +80,6 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         collect_stats: bool = True,
         max_alternatives: int = 24,
         posting_cache_size: int = 512,
-        batched: bool = True,
-        packed: Optional[bool] = None,
     ) -> None:
         XmlIndexBase.__init__(
             self, encoder, docstore,
@@ -93,7 +91,7 @@ class VistIndex(XmlIndexBase, CombinedTreeHost):
         # Query-path posting cache (0 disables).  It lives in instance
         # memory only, so reopening from disk always starts cold.
         self.postings = PostingCache(posting_cache_size) if posting_cache_size else None
-        self._matcher = SequenceMatcher(self, batched=batched, packed=packed)
+        self._matcher = SequenceMatcher(self)
         # "we collect statistics during data generation for dynamic
         # labeling purposes": with collect_stats the corpus statistics
         # accumulate as documents arrive, and the clue-free allocator

@@ -25,13 +25,12 @@ Concurrency and caching
 Nodes are decoded once and cached in memory; dirty nodes are written back
 on :meth:`BPlusTree.flush` / :meth:`BPlusTree.close` or on an explicit
 :meth:`BPlusTree.checkpoint`, which may also drop the cache at a quiescent
-point.  With the packed kernels enabled (``REPRO_PACKED``, see
-:mod:`repro.kernels`), a leaf "decode" is just a one-pass cell-offset
-table over the page buffer — keys and values are sliced out on access,
-so a point lookup touches O(log n) cells of a page instead of
-materialising all of them; mutation paths materialise the entry list
-once and proceed as before.  The tree is **single-writer**: mutation is
-serialised by the owning index's readers–writer lock
+point.  A leaf "decode" is just a one-pass cell-offset table over the
+page buffer (:func:`leaf_cell_offsets`) — keys and values are sliced
+out on access, so a point lookup touches O(log n) cells of a page
+instead of materialising all of them; mutation paths materialise the
+entry list once and work on that.  The tree is **single-writer**:
+mutation is serialised by the owning index's readers–writer lock
 (:class:`repro.exec.locks.RWLock`), the same operating envelope the
 paper's experiments use.  Concurrent *readers* are tolerated by
 construction on the lookup path: the descent cache is a small LRU of
@@ -46,12 +45,12 @@ concurrent split has since divided.
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.errors import DuplicateEntryError, KeyTooLargeError, PageError, StorageError
-from repro.kernels import leaf_cell_offsets, packed_enabled
 from repro.obs.metrics import MetricSet
 from repro.storage.pager import MemoryPager, Pager
 
@@ -60,12 +59,39 @@ _INTERNAL = 0x02
 _LEAF_HEADER = 1 + 2 + 8
 _INTERNAL_HEADER = 1 + 2 + 8
 _LEAF_CELL_OVERHEAD = 4
+_CELL_HDR = struct.Struct("<HH")  # klen, vlen
 _INTERNAL_CELL_OVERHEAD = 12
 _SLOT_FMT = "<QQ"  # root pid, entry count
 _SLOT_SIZE = struct.calcsize(_SLOT_FMT)
 _META_FMT = "<H"  # number of slots
 
 Pair = tuple[bytes, bytes]
+
+
+def leaf_cell_offsets(raw: bytes, count: int, header: int) -> tuple[array, int]:
+    """Offset table for a B+Tree leaf: one pass, no per-cell slicing.
+
+    Returns ``(offsets, end)`` where ``offsets`` is a flat
+    ``array('I')`` of ``(key_offset, key_len, value_len)`` triples into
+    ``raw`` and ``end`` is the offset one past the last cell — which is
+    exactly the page's used-bytes figure, so the caller gets it for
+    free.  Cells are materialised lazily by slicing ``raw`` at access
+    time; the buffer itself (already CRC-verified by the pager) is the
+    only copy of the data.
+    """
+    offsets = array("I", bytes(12 * count))
+    off = header
+    unpack = _CELL_HDR.unpack_from
+    pos = 0
+    for _ in range(count):
+        klen, vlen = unpack(raw, off)
+        off += 4
+        offsets[pos] = off
+        offsets[pos + 1] = klen
+        offsets[pos + 2] = vlen
+        pos += 3
+        off += klen + vlen
+    return offsets, off
 
 
 # How many recent descents each tree remembers.  One slot thrashes on the
@@ -195,11 +221,12 @@ class _Node:
 
 
 class _Leaf(_Node):
-    """A leaf node, eager or *lazy*.
+    """A leaf node, *lazy* until mutated.
 
-    Lazy leaves (packed decode) carry the raw page buffer plus a flat
-    cell-offset table instead of a materialised entry list; the read-path
-    accessors (:meth:`count`, :meth:`key_at`, :meth:`pair_at`,
+    A decoded leaf carries the raw page buffer plus a flat cell-offset
+    table instead of a materialised entry list (a leaf created in memory
+    starts with a list and no buffer); the read-path accessors
+    (:meth:`count`, :meth:`key_at`, :meth:`pair_at`,
     :meth:`bisect_entries`) slice cells out of the buffer on demand.
     Reading :attr:`entries` materialises the full list once and caches it
     (``_raw``/``_offsets`` are deliberately *not* cleared then: a reader
@@ -421,25 +448,11 @@ class BPlusTree:
         (n,) = struct.unpack_from("<H", raw, 1)
         if kind == _LEAF:
             (next_pid,) = struct.unpack_from("<Q", raw, 3)
-            if packed_enabled():
-                # zero-copy decode: offset table only, cells sliced from
-                # the page buffer on access (the end offset is exactly
-                # the page's used-bytes figure, cached for free)
-                offsets, end = leaf_cell_offsets(raw, n, _LEAF_HEADER)
-                return _Leaf(
-                    pid, None, next_pid, raw=raw, offsets=offsets, used=end
-                )
-            off = _LEAF_HEADER
-            entries: list[Pair] = []
-            for _ in range(n):
-                klen, vlen = struct.unpack_from("<HH", raw, off)
-                off += 4
-                key = raw[off : off + klen]
-                off += klen
-                value = raw[off : off + vlen]
-                off += vlen
-                entries.append((key, value))
-            return _Leaf(pid, entries, next_pid)
+            # zero-copy decode: offset table only, cells sliced from the
+            # page buffer on access (the end offset is exactly the page's
+            # used-bytes figure, cached for free)
+            offsets, end = leaf_cell_offsets(raw, n, _LEAF_HEADER)
+            return _Leaf(pid, None, next_pid, raw=raw, offsets=offsets, used=end)
         if kind == _INTERNAL:
             (child0,) = struct.unpack_from("<Q", raw, 3)
             off = _INTERNAL_HEADER

@@ -219,7 +219,7 @@ def decode_items(data: bytes, offset: int, count: int) -> tuple[tuple, int]:
     """Decode exactly ``count`` tagged items starting at ``offset``.
 
     Returns ``(items, next_offset)``.  This is the partial-decode
-    primitive behind the packed posting loader: every key of one
+    primitive behind the posting-group loader: every key of one
     D-Ancestor group shares the same ``(symbol, prefix_len, leading)``
     stem, so the loader decodes the stem's byte length once and then
     peels only the per-key tail (wildcard labels + ``n``) with this —

@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.index.postings import PostingGroup
 from repro.index.store import (
     META_MAX_DEPTH_KEY,
     META_STORE_BOUNDS_KEY,
@@ -334,7 +335,12 @@ def check_vist_documents(index) -> InvariantReport:
 
 
 def check_posting_coherence(host) -> InvariantReport:
-    """Every resident posting group equals a fresh B+Tree scan."""
+    """Every resident posting group equals a fresh B+Tree scan.
+
+    The comparison runs over the ``ns``/``ends``/``prefixes`` columns —
+    exactly what the matcher reads — so corrupting any one of them is
+    caught.
+    """
     report = InvariantReport(name="postings:coherence")
     cache = host.postings
     if cache is None:
@@ -343,15 +349,14 @@ def check_posting_coherence(host) -> InvariantReport:
         report.checked += 1
         symbol, prefix_len, leading = key
         cached = cache._groups[key]
-        fresh = sorted(
-            host._load_postings(symbol, prefix_len, leading),
-            key=lambda posting: posting[1].n,
-        )
-        if cached.entries != fresh:
-            report.fail(
-                f"group ({symbol!r}, {prefix_len}, {leading!r}): cached "
-                f"{len(cached.entries)} posting(s), tree has {len(fresh)}"
-            )
+        fresh = PostingGroup(host._load_postings(symbol, prefix_len, leading))
+        for column in ("ns", "ends", "prefixes"):
+            if getattr(cached, column) != getattr(fresh, column):
+                report.fail(
+                    f"group ({symbol!r}, {prefix_len}, {leading!r}): cached "
+                    f"{column} column ({len(cached)} posting(s)) differs from "
+                    f"the tree ({len(fresh)} posting(s))"
+                )
     return report
 
 

@@ -182,10 +182,26 @@ class TestVistCorruption:
         assert index.postings is not None and index.postings._groups
         key = next(iter(index.postings._groups))
         group = index.postings._groups[key]
-        assert group.entries
-        group.entries.pop()
+        assert len(group)
+        # a stale group: one posting missing from every column
+        group.ns.pop()
+        group.ends.pop()
+        group.prefixes = group.prefixes[:-1]
         report = check_posting_coherence(index)
         assert not report.ok
+
+    def test_corrupt_ns_column_detected_after_check(self):
+        # a first (green) check must not leave any cached view behind
+        # that a later check compares instead of the matcher's columns
+        index = build_index()
+        index.query("//a", verify=True)
+        assert check_posting_coherence(index).ok
+        key = next(iter(index.postings._groups))
+        group = index.postings._groups[key]
+        group.ns[-1] += 10**6
+        report = check_posting_coherence(index)
+        assert not report.ok
+        assert any("ns column" in v for v in report.violations)
 
 
 class TestCheckIndexDispatch:

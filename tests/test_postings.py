@@ -1,4 +1,4 @@
-"""Query-path cache coherence: posting cache, batched matching, descent reuse.
+"""Query-path cache coherence: posting groups, posting cache, descent reuse.
 
 The posting cache is a lookaside structure — the B+Trees stay the source
 of truth — so every test here is an equivalence test at heart: the cached
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.doc.model import XmlNode
 from repro.index.matching import SequenceMatcher
+from repro.index.naive import NaiveIndex
 from repro.index.postings import PostingCache, PostingGroup
 from repro.index.rist import RistIndex
 from repro.index.vist import VistIndex
@@ -30,21 +31,63 @@ def make_index(**kwargs) -> VistIndex:
     return VistIndex(SequenceEncoder(schema=build_purchase_schema()), **kwargs)
 
 
+def span_ns(group: PostingGroup, within: Scope) -> list[int]:
+    """Labels of the group's postings in the S-Ancestor range of ``within``."""
+    lo, hi = group.select_span(within.n, within.end)
+    return group.ns[lo:hi]
+
+
+def columns(group: PostingGroup) -> tuple:
+    return group.ns, group.ends, group.prefixes
+
+
 class TestPostingGroup:
     def test_sorted_by_n_and_select_bisects(self):
         entries = [((), Scope(n, 0)) for n in [40, 10, 30, 20]]
         group = PostingGroup(entries)
         assert list(group.ns) == [10, 20, 30, 40]
         # S-Ancestor range is (n, n+size]: excludes n itself, includes end
-        assert [s.n for _, s in group.select(Scope(10, 20))] == [20, 30]
-        assert [s.n for _, s in group.select(Scope(0, 100))] == [10, 20, 30, 40]
-        assert group.select(Scope(40, 100)) == []
+        assert span_ns(group, Scope(10, 20)) == [20, 30]
+        assert span_ns(group, Scope(0, 100)) == [10, 20, 30, 40]
+        assert span_ns(group, Scope(40, 100)) == []
         assert len(group) == 4
 
     def test_select_boundary_inclusive_end(self):
         group = PostingGroup([((), Scope(5, 0)), ((), Scope(8, 0))])
-        assert [s.n for _, s in group.select(Scope(4, 4))] == [5, 8]
-        assert [s.n for _, s in group.select(Scope(5, 3))] == [8]
+        assert span_ns(group, Scope(4, 4)) == [5, 8]
+        assert span_ns(group, Scope(5, 3)) == [8]
+
+
+class TestPostingGroupColumns:
+    def test_columns_parallel_and_sorted(self):
+        postings = [
+            (("a", "b"), Scope(30, 5)),
+            (("a",), Scope(10, 2)),
+            (("c",), Scope(20, 0)),
+        ]
+        group = PostingGroup(postings)
+        assert group.ns == [10, 20, 30]
+        assert group.ends == [12, 20, 35]
+        assert group.prefixes == (("a",), ("c",), ("a", "b"))
+
+    def test_select_span_column_slice(self):
+        group = PostingGroup([((), Scope(n, 0)) for n in [10, 20, 30, 40]])
+        lo, hi = group.select_span(10, 30)
+        assert (lo, hi) == (1, 3)
+        assert [group.ns[i] for i in range(lo, hi)] == [20, 30]
+        assert group.select_span(40, 100) == (4, 4)
+
+    def test_prefixes_interned_across_groups(self):
+        a = PostingGroup([(("x", "y"), Scope(1, 0))])
+        b = PostingGroup([(("x", "y"), Scope(2, 0))])
+        assert a.prefixes[0] is b.prefixes[0]
+
+    def test_big_labels_keep_list_columns(self):
+        big = 1 << 200
+        group = PostingGroup([((), Scope(big, 3))])
+        assert isinstance(group.ns, list)
+        assert span_ns(group, Scope(big - 1, 2)) == [big]
+        assert group.ends == [big + 3]  # exact ints, no truncation
 
 
 class TestPostingCache:
@@ -240,10 +283,12 @@ class TestVistCoherence:
     seed=st.integers(min_value=0, max_value=10_000),
     n_docs=st.integers(min_value=1, max_value=10),
 )
-def test_cached_batched_equals_uncached_recursive(seed, n_docs):
-    """Property: all four (cache x traversal) combos yield the same scopes."""
+def test_cached_equals_uncached_and_naive(seed, n_docs):
+    """Property: cached and uncached ViST yield the same final scopes, and
+    both raw answer sets equal Algorithm 1 on the in-memory trie."""
     cached = make_index(posting_cache_size=8)
     uncached = make_index(posting_cache_size=0)
+    naive = NaiveIndex(SequenceEncoder(schema=build_purchase_schema()))
     rng = random.Random(seed)
     locs = ["boston", "newyork", "austin"]
     makers = ["intel", "amd", "ibm"]
@@ -253,18 +298,18 @@ def test_cached_batched_equals_uncached_recursive(seed, n_docs):
         )
         cached.add(doc)
         uncached.add(doc)
-    matchers = [
-        SequenceMatcher(cached, batched=True),
-        SequenceMatcher(cached, batched=False),
-        SequenceMatcher(uncached, batched=True),
-        SequenceMatcher(uncached, batched=False),
-    ]
+        naive.add(doc)
+    matchers = [SequenceMatcher(cached), SequenceMatcher(uncached)]
     for q in QUERIES:
         for qseq in cached.translator.translate(parse_xpath(q)):
-            results = [
+            a, b = (
                 sorted((s.n, s.size) for s in m.final_scopes(qseq)) for m in matchers
-            ]
-            assert all(r == results[0] for r in results[1:]), q
+            )
+            assert a == b, q
+            want = naive.match_sequence(qseq)
+            assert matchers[0].match(qseq) == matchers[1].match(qseq) == want, q
+        want = naive.query(q)
+        assert cached.query(q) == uncached.query(q) == want, q
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +373,15 @@ def test_invalidate_entry_keeps_wildcard_groups_coherent(ops):
                 symbol, plen, leading, lambda: cold(plen, leading)
             )
             cached_keys.append((plen, leading))
-            want = sorted(cold(plen, leading), key=lambda e: e[1].n)
-            assert group.entries == want, (
+            want = PostingGroup(cold(plen, leading))
+            assert columns(group) == columns(want), (
                 f"stale group for plen={plen} leading={leading}"
             )
         # every group still resident must match a cold run right now
         for plen, leading in cached_keys:
             resident = cache._groups.get((symbol, plen, leading))
             if resident is not None:
-                want = sorted(cold(plen, leading), key=lambda e: e[1].n)
-                assert resident.entries == want, (
+                want = PostingGroup(cold(plen, leading))
+                assert columns(resident) == columns(want), (
                     f"resident group went stale: plen={plen} leading={leading}"
                 )
