@@ -17,12 +17,7 @@ effect.
 
 import pytest
 
-from repro.bench.harness import (
-    Report,
-    build_index,
-    metrics_snapshot,
-    query_cache_enabled,
-)
+from repro.bench.harness import Report, build_index, metrics_snapshot
 from repro.datasets.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.index.matching import SequenceMatcher
 
@@ -122,7 +117,6 @@ def bench_json_payload():
             "n_docs": N_DOCS,
             "doc_size": DOC_SIZE,
             "queries_per_length": QUERIES_PER_LENGTH,
-            "query_cache": query_cache_enabled(),
         },
         "lengths": {str(k): v for k, v in sorted(_lengths.items())},
         "headline_seconds": sum(v["seconds_per_query"] for v in _lengths.values()),

@@ -27,8 +27,6 @@ from repro.bench.harness import (
     Report,
     build_index,
     metrics_snapshot,
-    parallel_throughput,
-    query_cache_enabled,
     sharded_throughput,
 )
 from repro.bench.workloads import TABLE3_QUERIES
@@ -141,20 +139,13 @@ def bench_json_payload():
         for qid, timings in sorted(_rows.items())
     }
     headline = sum(t["vist"] for t in _rows.values() if "vist" in t)
-    # concurrency smoke: the dblp Table-3 workload through the thread-pool
-    # executor vs the sequential loop over the same shared index.  Runs
-    # after the timed rounds so it cannot perturb headline_seconds.
-    parallel = None
+    # throughput: the dblp Table-3 workload scatter-gathered over 1/2/4
+    # per-shard worker processes vs the sequential in-process loop.  Runs
+    # after the timed rounds so it cannot perturb headline_seconds;
+    # interpret speedup against cpu_count.
     sharded = None
     dblp_queries = [q.xpath for q in TABLE3_QUERIES if q.dataset == "dblp"]
-    if "dblp" in _vist_indexes and dblp_queries:
-        parallel = parallel_throughput(
-            _vist_indexes["dblp"], dblp_queries, threads=4, repeats=3
-        )
     if "dblp" in _corpus_docs and dblp_queries:
-        # the process-parallel counterpart: same workload scatter-gathered
-        # over 1/2/4 per-shard worker processes (threads above stay as the
-        # GIL-bound contrast).  Interpret speedup against cpu_count.
         sharded = sharded_throughput(
             _corpus_docs["dblp"], dblp_queries, workers_list=(1, 2, 4), repeats=3
         )
@@ -186,12 +177,10 @@ def bench_json_payload():
             "n_dblp": N_DBLP,
             "n_xmark": N_XMARK,
             "kinds": KINDS,
-            "query_cache": query_cache_enabled(),
         },
         "queries": queries,
         "headline_seconds": headline,
         "kernels": kernels,
-        "parallel": parallel,
         "sharded": sharded,
         "cache_stats": {
             dataset: index.cache_stats()

@@ -12,11 +12,11 @@ comparison is on the ``headline_seconds`` field — the benchmark's single
 wall-clock figure of merit — so CI tolerates runner noise (default 3×)
 while still catching order-of-magnitude regressions.
 
-Snapshots carrying throughput blocks are gated too: ``parallel`` (thread
-pool) and ``sharded`` (per-shard worker processes) expose qps figures,
-and a *drop* below ``1/--qps-factor`` of the baseline fails the gate —
-qps regresses downward, the opposite direction of seconds.  A baseline
-written before a block existed skips that block with a message.
+Snapshots carrying throughput blocks are gated too: ``sharded``
+(per-shard worker processes) exposes qps figures, and a *drop* below
+``1/--qps-factor`` of the baseline fails the gate — qps regresses
+downward, the opposite direction of seconds.  A baseline written before
+a block existed skips that block with a message.
 
 The figures under a top-level ``kernels`` block (descent hit rates)
 are gated the same higher-is-better way: a rate dropping below
@@ -78,7 +78,6 @@ def _positive(value: object) -> float | None:
 def qps_entries(snapshot: object) -> dict[str, float]:
     """Every gateable throughput figure of a snapshot, flattened.
 
-    ``parallel.qps`` is the thread-pool block's ``parallel_qps``;
     ``sharded.single_process_qps`` and ``sharded.w<N>.qps`` come from the
     multi-process block; ``ingest.docs_per_sec`` from the bulk-ingest
     bench.  Unusable values (missing, non-numeric, <= 0) are simply
@@ -93,11 +92,6 @@ def qps_entries(snapshot: object) -> dict[str, float]:
         value = _positive(ingest.get("docs_per_sec"))
         if value is not None:
             out["ingest.docs_per_sec"] = value
-    parallel = snapshot.get("parallel")
-    if isinstance(parallel, dict):
-        value = _positive(parallel.get("parallel_qps"))
-        if value is not None:
-            out["parallel.qps"] = value
     sharded = snapshot.get("sharded")
     if isinstance(sharded, dict):
         value = _positive(sharded.get("single_process_qps"))

@@ -30,10 +30,8 @@ from repro.sequence.transform import SequenceEncoder
 __all__ = [
     "INDEX_KINDS",
     "build_index",
-    "query_cache_enabled",
     "time_call",
     "time_queries",
-    "parallel_throughput",
     "sharded_throughput",
     "Report",
     "bench_json_path",
@@ -53,17 +51,8 @@ _FACTORIES = {
     "apex": ApexIndex,
 }
 
-#: Environment switch for the query-path caches: set ``REPRO_QUERY_CACHE=0``
-#: (or pass ``--no-query-cache`` to the benchmark suite) to build ViST/RIST
-#: indexes with the posting cache disabled, i.e. the paper's original
-#: per-scan access path.  Lets the same benchmark run in both modes.
-_CACHE_ENV = "REPRO_QUERY_CACHE"
+#: Posting groups the benchmark-built ViST/RIST indexes keep cached.
 _DEFAULT_POSTING_CACHE = 512
-
-
-def query_cache_enabled() -> bool:
-    """Whether benchmark-built indexes use the posting cache."""
-    return os.environ.get(_CACHE_ENV, "1") != "0"
 
 
 def build_index(kind: str, documents: Iterable, schema=None, **kwargs):
@@ -71,18 +60,15 @@ def build_index(kind: str, documents: Iterable, schema=None, **kwargs):
 
     ``kind`` is one of :data:`INDEX_KINDS`.  ViST/RIST default to
     refcount-free ingestion here (benchmarks measure the paper's
-    configuration; deletion benchmarks opt back in) and honour the
-    ``REPRO_QUERY_CACHE`` switch for the posting cache.
+    configuration; deletion benchmarks opt back in) and cache
+    :data:`_DEFAULT_POSTING_CACHE` posting groups.
     """
     encoder = SequenceEncoder(schema=schema)
     factory = _FACTORIES[kind]
     if kind == "vist":
         kwargs.setdefault("track_refs", False)
     if kind in ("vist", "rist"):
-        kwargs.setdefault(
-            "posting_cache_size",
-            _DEFAULT_POSTING_CACHE if query_cache_enabled() else 0,
-        )
+        kwargs.setdefault("posting_cache_size", _DEFAULT_POSTING_CACHE)
     index = factory(encoder, **kwargs)
     for doc in documents:
         index.add(doc)
@@ -105,44 +91,6 @@ def time_queries(index, queries: Sequence, repeats: int = 1) -> float:
         for query in queries:
             index.query(query)
     return time.perf_counter() - start
-
-
-def parallel_throughput(
-    index,
-    queries: Sequence,
-    threads: int = 4,
-    repeats: int = 1,
-    verify: bool = False,
-) -> dict:
-    """Single-thread vs N-thread throughput over one shared index.
-
-    Runs the workload once sequentially and once through a
-    :class:`~repro.exec.QueryExecutor`, and returns a dict suitable for
-    embedding in a ``BENCH_<name>.json`` payload.  ``errors`` counts
-    outcomes whose query raised; with the CPython GIL and this repo's
-    pure-Python matcher the speedup is bounded by how much of the work
-    releases the interpreter lock, so treat the number as a concurrency
-    smoke signal, not a scalability claim.
-    """
-    from repro.exec import QueryExecutor
-
-    workload = [query for _ in range(repeats) for query in queries]
-    single_seconds = time_queries(index, queries, repeats=repeats)
-    with QueryExecutor(index, threads=threads, verify=verify) as executor:
-        start = time.perf_counter()
-        outcomes = executor.run(workload)
-        parallel_seconds = time.perf_counter() - start
-    errors = sum(1 for outcome in outcomes if not outcome.ok)
-    return {
-        "threads": threads,
-        "queries": len(workload),
-        "single_thread_seconds": single_seconds,
-        "parallel_seconds": parallel_seconds,
-        "single_thread_qps": len(workload) / single_seconds if single_seconds else 0.0,
-        "parallel_qps": len(workload) / parallel_seconds if parallel_seconds else 0.0,
-        "speedup": single_seconds / parallel_seconds if parallel_seconds else 0.0,
-        "errors": errors,
-    }
 
 
 def sharded_throughput(
@@ -324,11 +272,7 @@ def write_bench_json(name: str, payload: dict, directory: Optional[str] = None) 
     in version control PR over PR.
     """
     path = bench_json_path(name, directory)
-    doc = {
-        "experiment": name,
-        "query_cache": query_cache_enabled(),
-        **payload,
-    }
+    doc = {"experiment": name, **payload}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -258,18 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="abort after this many pager reads (exit code 5)",
     )
     p_query.add_argument(
-        "--parallel",
-        type=int,
-        metavar="N",
-        help="batch mode: run the query --repeat times across N worker "
-        "threads sharing the open index, and report the throughput",
-    )
-    p_query.add_argument(
         "--repeat",
         type=int,
         default=100,
-        help="number of submissions in --parallel/--workers batch mode "
-        "(default 100)",
+        help="number of submissions in --workers batch mode (default 100)",
     )
     p_query.add_argument(
         "--workers",
@@ -298,12 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="line-oriented query loop: one XPath per stdin line, answered "
-        "by a pool of worker threads over one shared open index",
+        "by two query threads over one shared open index",
     )
     p_serve.add_argument("dbdir", type=Path)
-    p_serve.add_argument(
-        "--threads", type=int, default=4, help="worker threads (default 4)"
-    )
     p_serve.add_argument("--verify", action="store_true", help="exact mode")
     p_serve.add_argument(
         "--deadline-ms",
@@ -574,20 +563,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.workers is not None:
         raise ReproError(
             f"{args.dbdir} is not sharded; --workers needs a database built "
-            "with `repro index --shards N` (use --parallel for threads)"
+            "with `repro index --shards N`"
         )
     if args.partial or args.hedge_ms is not None:
         raise ReproError(
             "--partial/--hedge-ms apply to sharded scatter-gather; "
             "use them with --workers on a sharded database"
         )
-    guard = None
-    if args.deadline_ms is not None or args.max_steps is not None or args.max_page_reads is not None:
-        guard = QueryGuard(
-            deadline_ms=args.deadline_ms,
-            max_steps=args.max_steps,
-            max_page_reads=args.max_page_reads,
-        )
+    guard_factory = QueryGuard.factory(_guard_spec(args))
+    guard = guard_factory() if guard_factory is not None else None
     trace = None
     if args.explain:
         from repro.obs import QueryTrace
@@ -596,8 +580,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     index = open_index(args.dbdir)
     try:
         engine, idmap = _resolve_engine(index, args.engine)
-        if args.parallel:
-            return _run_parallel_query(args, engine, idmap)
         result = engine.query(args.xpath, verify=args.verify, guard=guard, trace=trace)
         if idmap is not None:
             result = {idmap[doc_id] for doc_id in result}
@@ -634,69 +616,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _guard_factory(args: argparse.Namespace):
-    """Per-query guard builder for the concurrent paths, or ``None``.
-
-    A guard tracks one query at a time, so the executor needs a fresh
-    one per submission rather than the single shared instance the
-    sequential path uses.
-    """
-    deadline_ms = args.deadline_ms
-    max_steps = args.max_steps
-    max_page_reads = getattr(args, "max_page_reads", None)
-    if deadline_ms is None and max_steps is None and max_page_reads is None:
-        return None
-    return lambda: QueryGuard(
-        deadline_ms=deadline_ms,
-        max_steps=max_steps,
-        max_page_reads=max_page_reads,
-    )
-
-
-def _run_parallel_query(args: argparse.Namespace, engine, idmap) -> int:
-    """``query --parallel N``: the same query --repeat times over N threads."""
-    import time
-
-    from repro.exec import QueryExecutor
-
-    repeat = max(1, args.repeat)
-    queries = [args.xpath] * repeat
-    with QueryExecutor(
-        engine,
-        threads=args.parallel,
-        verify=args.verify,
-        guard_factory=_guard_factory(args),
-    ) as executor:
-        t0 = time.perf_counter()
-        outcomes = executor.run(queries)
-        elapsed = time.perf_counter() - t0
-    for outcome in outcomes:
-        outcome.unwrap()  # propagate guard/corruption errors to main()
-    distinct = {frozenset(outcome.result) for outcome in outcomes}
-    if len(distinct) != 1:
-        print(
-            f"error: {len(distinct)} distinct result sets across "
-            f"{repeat} identical parallel runs",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
-    result = set(outcomes[0].result)
-    if idmap is not None:
-        result = {idmap[doc_id] for doc_id in result}
-    mode = "verified" if args.verify else "raw"
-    if args.engine != "vist":
-        mode += f", {args.engine}"
-    print(f"{len(result)} match(es) ({mode}): {result}")
-    qps = repeat / elapsed if elapsed > 0 else float("inf")
-    print(
-        f"parallel: {repeat} queries x {args.parallel} thread(s) "
-        f"in {elapsed:.3f}s ({qps:.0f} qps)"
-    )
-    return 0
-
-
 def _guard_spec(args: argparse.Namespace) -> Optional[dict]:
-    """The wire form of the guard budgets for per-shard workers, or None."""
+    """The guard budgets the flags set, or None.
+
+    Also the wire form per-shard workers receive; :meth:`QueryGuard.factory`
+    turns it into fresh per-query guards.
+    """
     spec = {
         "deadline_ms": args.deadline_ms,
         "max_steps": args.max_steps,
@@ -711,7 +636,7 @@ def _query_sharded(args: argparse.Namespace) -> int:
     The single-shot path answers in-process through the embedded
     :class:`ShardRouter` (no worker processes to spawn for one query);
     ``--workers N`` is the batch mode, scatter-gathering over N per-shard
-    worker processes like ``--parallel`` does over threads.
+    worker processes.
     """
     for flag, name in (
         (args.explain and args.workers is None, "--explain"),
@@ -723,11 +648,6 @@ def _query_sharded(args: argparse.Namespace) -> int:
                 f"{name} is not supported on sharded databases"
                 + (" (except --explain with --workers)" if name == "--explain" else "")
             )
-    if args.parallel:
-        raise ReproError(
-            "--parallel threads share one open index; on a sharded "
-            "database use --workers N (N = shard count)"
-        )
     if args.partial or args.hedge_ms is not None:
         if args.workers is None:
             raise ReproError(
@@ -740,7 +660,9 @@ def _query_sharded(args: argparse.Namespace) -> int:
 
     with ShardRouter(args.dbdir) as router:
         result = router.query(
-            args.xpath, verify=args.verify, guard_factory=_guard_factory(args)
+            args.xpath,
+            verify=args.verify,
+            guard_factory=QueryGuard.factory(_guard_spec(args)),
         )
         mode = "verified" if args.verify else "raw"
         print(f"{len(result)} match(es) ({mode}, {router.nshards} shards): "
@@ -855,7 +777,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             verify=args.verify,
             guard_spec=_guard_spec(args),
-            threads_per_worker=max(1, args.threads // 2),
             partial=args.partial,
             hedge_ms=args.hedge_ms,
         ) as executor:
@@ -866,9 +787,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         with QueryExecutor(
             index,
-            threads=args.threads,
             verify=args.verify,
-            guard_factory=_guard_factory(args),
+            guard_factory=QueryGuard.factory(_guard_spec(args)),
         ) as executor:
             return _serve_loop(args, executor)
     finally:
@@ -995,16 +915,11 @@ def _serve_tcp(executor, host: str, port: int) -> int:
                     except OSError:
                         break
                     continue
-                if verify is None:
-                    future = executor.submit(xpath, position=position)
-                elif hasattr(executor, "submit_with"):  # thread backend
-                    future = executor.submit_with(
-                        xpath, position=position, verify=bool(verify)
-                    )
-                else:  # sharded backend takes verify directly
-                    future = executor.submit(
-                        xpath, position=position, verify=bool(verify)
-                    )
+                future = executor.submit(
+                    xpath,
+                    position=position,
+                    verify=None if verify is None else bool(verify),
+                )
                 replies.put((position, xpath, future))
                 position += 1
         finally:

@@ -24,6 +24,12 @@ from repro.index.guard import QueryGuard
 
 __all__ = ["QueryExecutor", "QueryOutcome"]
 
+#: Query threads per executor.  Under the GIL more threads add no
+#: throughput (4 threads measured 1.01x one thread on the Table-3 dblp
+#: workload); two let a reply that stalls on its socket overlap the next
+#: query, which is what a shard worker's hedged reads rely on.
+DEFAULT_THREADS = 2
+
 
 @dataclass
 class QueryOutcome:
@@ -65,16 +71,16 @@ class QueryOutcome:
 class QueryExecutor:
     """Run queries against one shared index from a pool of worker threads.
 
-    ``verify`` is passed through to :meth:`XmlIndexBase.query` (exact
-    mode).  ``guard_factory`` builds one fresh guard per query; ``None``
-    runs unguarded.  The executor is a context manager; :meth:`close`
+    ``threads`` defaults to :data:`DEFAULT_THREADS`.  ``verify`` is passed
+    through to :meth:`XmlIndexBase.query` (exact mode).  ``guard_factory``
+    builds one fresh guard per query; ``None`` runs unguarded.  The executor is a context manager; :meth:`close`
     waits for in-flight queries and joins the workers.
     """
 
     def __init__(
         self,
         index,
-        threads: int = 4,
+        threads: int = DEFAULT_THREADS,
         *,
         verify: bool = False,
         guard_factory: Optional[Callable[[], QueryGuard]] = None,
@@ -82,7 +88,6 @@ class QueryExecutor:
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
         self.index = index
-        self.threads = threads
         self.verify = verify
         self.guard_factory = guard_factory
         self._pool = ThreadPoolExecutor(
@@ -92,11 +97,7 @@ class QueryExecutor:
 
     # -- submission ------------------------------------------------------
 
-    def submit(self, query, position: int = 0) -> "Future[QueryOutcome]":
-        """Schedule one query; the future resolves to a :class:`QueryOutcome`."""
-        return self.submit_with(query, position=position)
-
-    def submit_with(
+    def submit(
         self,
         query,
         position: int = 0,
@@ -104,7 +105,7 @@ class QueryExecutor:
         verify: Optional[bool] = None,
         guard_factory: Optional[Callable[[], QueryGuard]] = None,
     ) -> "Future[QueryOutcome]":
-        """Like :meth:`submit` with per-submission overrides.
+        """Schedule one query; the future resolves to a :class:`QueryOutcome`.
 
         ``verify``/``guard_factory`` default to the executor-wide settings
         when ``None`` — the shard worker uses this to honour per-frame
@@ -124,10 +125,6 @@ class QueryExecutor:
         """Run a batch; outcomes come back in submission order."""
         futures = [self.submit(query, i) for i, query in enumerate(queries)]
         return [future.result() for future in futures]
-
-    def results(self, queries: Sequence) -> list[list[int]]:
-        """Like :meth:`run` but unwraps: raises the first captured error."""
-        return [outcome.unwrap() for outcome in self.run(queries)]
 
     def _run_one(self, query, position: int, verify: bool, guard_factory) -> QueryOutcome:
         guard = guard_factory() if guard_factory is not None else None

@@ -68,6 +68,23 @@ class QueryGuard:
         self._page_counter: Optional[Callable[[], int]] = None
         self._pages0 = 0
 
+    @classmethod
+    def factory(cls, spec: Optional[dict]) -> Optional[Callable[[], "QueryGuard"]]:
+        """A builder of fresh guards for a budget dict, or ``None``.
+
+        ``spec`` holds any of ``deadline_ms``/``max_steps``/
+        ``max_page_reads`` — the wire form a shard worker receives and
+        the CLI builds from its flags.  Concurrent paths take a factory
+        rather than a guard because a guard tracks one query at a time.
+        """
+        budgets = {
+            key: (spec or {}).get(key)
+            for key in ("deadline_ms", "max_steps", "max_page_reads")
+        }
+        if all(value is None for value in budgets.values()):
+            return None
+        return lambda: cls(**budgets)
+
     def start(self, page_counter: Optional[Callable[[], int]] = None) -> "QueryGuard":
         """Begin one query: reset all per-query state and start timing.
 

@@ -6,8 +6,8 @@ per-shard result sets *is* the exact global answer.  This package
 partitions documents across N full index directories
 (``DBDIR/shard-K/``), each with its own pager/WAL/docstore, and executes
 queries scatter-gather over per-shard worker **processes** — the route
-around the GIL wall PR 5 measured (4 threads at 0.99x single-thread
-qps).
+around the GIL, under which query threads over one shared index add no
+throughput (4 threads measured 1.01x one thread).
 
 Layers:
 

@@ -96,7 +96,6 @@ class _ShardClient:
         self,
         shard: int,
         path: Path,
-        threads: int,
         *,
         worker_module: str = "repro.shard.worker",
         extra_env: Optional[dict] = None,
@@ -105,7 +104,6 @@ class _ShardClient:
     ) -> None:
         self.shard = shard
         self.path = path
-        self.threads = threads
         self.worker_module = worker_module
         self.extra_env = dict(extra_env) if extra_env else None
         self.socket_wrapper = socket_wrapper
@@ -137,10 +135,7 @@ class _ShardClient:
         if self.extra_env:
             env.update(self.extra_env)
         self.proc = subprocess.Popen(
-            [
-                sys.executable, "-m", self.worker_module, str(self.path),
-                "--port", "0", "--threads", str(self.threads),
-            ],
+            [sys.executable, "-m", self.worker_module, str(self.path), "--port", "0"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             env=env,
@@ -414,7 +409,6 @@ class ShardedExecutor:
         workers: Optional[int] = None,
         verify: bool = False,
         guard_spec: Optional[dict] = None,
-        threads_per_worker: int = 2,
         partial: bool = False,
         hedge_ms: Optional[float] = None,
         rpc_retries: int = 2,
@@ -465,7 +459,6 @@ class ShardedExecutor:
                 client = _ShardClient(
                     k,
                     shard_dir(self.dbdir, k),
-                    threads_per_worker,
                     worker_module=worker_module,
                     extra_env=worker_env,
                     socket_wrapper=socket_wrapper,
@@ -721,7 +714,13 @@ class ShardedExecutor:
                 merged: list[int] = []
                 for s, locals_ in results.items():
                     globals_of = self.map.globals_of(s)
-                    merged.extend(globals_of[local] for local in locals_)
+                    # a local id past the map is a document whose add the
+                    # worker committed but whose reply the router has not
+                    # recorded yet: this query is ordered before that add
+                    known = len(globals_of)
+                    merged.extend(
+                        globals_of[local] for local in locals_ if local < known
+                    )
                 outcome.result = sorted(merged)
                 if missing:
                     outcome.missing_shards = sorted(missing)

@@ -5,10 +5,11 @@ One worker owns one shard directory — a complete single-directory index
 would open it — and serves the frame protocol of
 :mod:`repro.shard.protocol` on a loopback TCP socket.  Queries are
 answered through the existing thread machinery: every ``query`` frame is
-submitted to a :class:`~repro.exec.executor.QueryExecutor` over the open
-index (snapshot isolation via the index RWLock, fresh
-:class:`~repro.index.guard.QueryGuard` per query), so responses may
-complete out of order and carry the request ``id`` for demultiplexing.
+submitted to a :class:`~repro.exec.executor.QueryExecutor` (its default
+two threads) over the open index (snapshot isolation via the index
+RWLock, fresh :class:`~repro.index.guard.QueryGuard` per query), so
+responses may complete out of order and carry the request ``id`` for
+demultiplexing.
 ``add``/``remove`` frames run inline on the connection thread — the
 index write lock already serialises them against in-flight reads.
 
@@ -37,26 +38,10 @@ from repro.shard.protocol import FrameError, recv_frame, send_frame
 __all__ = ["main", "serve_shard"]
 
 
-def _guard_factory_from(spec):
-    """A per-query guard factory for a frame's ``guard`` object, or None."""
-    if not spec:
-        return None
-    deadline_ms = spec.get("deadline_ms")
-    max_steps = spec.get("max_steps")
-    max_page_reads = spec.get("max_page_reads")
-    if deadline_ms is None and max_steps is None and max_page_reads is None:
-        return None
-    return lambda: QueryGuard(
-        deadline_ms=deadline_ms,
-        max_steps=max_steps,
-        max_page_reads=max_page_reads,
-    )
-
-
 class _ShardServer:
-    def __init__(self, index, threads: int) -> None:
+    def __init__(self, index) -> None:
         self.index = index
-        self.executor = QueryExecutor(index, threads=threads)
+        self.executor = QueryExecutor(index)
         self.stop = threading.Event()
         self._conn_threads: list[threading.Thread] = []
 
@@ -101,11 +86,10 @@ class _ShardServer:
         op = request.get("op")
         try:
             if op == "query":
-                guard_factory = _guard_factory_from(request.get("guard"))
-                future = self.executor.submit_with(
+                future = self.executor.submit(
                     request["xpath"],
                     verify=bool(request.get("verify", False)),
-                    guard_factory=guard_factory,
+                    guard_factory=QueryGuard.factory(request.get("guard")),
                 )
 
                 def deliver(fut, _id=request_id):
@@ -197,7 +181,6 @@ def serve_shard(
     shard_dir: Path,
     host: str,
     port: int,
-    threads: int,
     server_cls: type = _ShardServer,
 ) -> int:
     """Open the shard and serve it until told to stop.
@@ -210,7 +193,7 @@ def serve_shard(
     from repro.cli import _close_index, open_index
 
     index = open_index(shard_dir)
-    server = server_cls(index, threads)
+    server = server_cls(index)
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -257,12 +240,8 @@ def main(argv=None, server_cls: type = _ShardServer) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0,
                         help="0 picks an ephemeral port (announced on stdout)")
-    parser.add_argument("--threads", type=int, default=2,
-                        help="query worker threads over the shard (default 2)")
     args = parser.parse_args(argv)
-    return serve_shard(
-        args.shard_dir, args.host, args.port, args.threads, server_cls=server_cls
-    )
+    return serve_shard(args.shard_dir, args.host, args.port, server_cls=server_cls)
 
 
 if __name__ == "__main__":

@@ -97,8 +97,8 @@ class FaultyShardServer(_ShardServer):
     like a real SIGKILL.
     """
 
-    def __init__(self, index, threads: int) -> None:
-        super().__init__(index, threads)
+    def __init__(self, index) -> None:
+        super().__init__(index)
         self.config = ChaosConfig.from_env()
         shard = int(os.environ.get("REPRO_SHARD_ID", "0"))
         generation = int(os.environ.get("REPRO_SHARD_GENERATION", "0"))

@@ -9,7 +9,6 @@ from repro.bench.harness import (
     Report,
     bench_json_path,
     build_index,
-    query_cache_enabled,
     read_bench_json,
     time_call,
     time_queries,
@@ -116,7 +115,6 @@ class TestBenchJson:
         assert data["experiment"] == "myexp"
         assert data["headline_seconds"] == 1.5
         assert data["rows"] == [1, 2]
-        assert data["query_cache"] is query_cache_enabled()
 
     def test_written_file_is_stable_json(self, tmp_path):
         write_bench_json("exp", {"b": 1, "a": 2}, directory=tmp_path)
@@ -124,14 +122,6 @@ class TestBenchJson:
         assert text.endswith("\n")
         assert json.loads(text) == json.loads(text)  # valid JSON
         assert text.index('"a"') < text.index('"b"')  # sorted keys → clean diffs
-
-    def test_query_cache_env_toggle(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QUERY_CACHE", raising=False)
-        assert query_cache_enabled() is True
-        monkeypatch.setenv("REPRO_QUERY_CACHE", "0")
-        assert query_cache_enabled() is False
-        index = build_index("vist", tiny_corpus())
-        assert index.postings is None
 
     def test_build_index_cache_on_by_default(self):
         index = build_index("vist", tiny_corpus())

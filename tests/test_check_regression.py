@@ -94,26 +94,26 @@ class TestMainExitCodes:
     def test_qps_drop_fails(self, gate, capsys):
         current = {
             "headline_seconds": 1.0,
-            "parallel": {"parallel_qps": 20.0},
+            "sharded": {"single_process_qps": 20.0},
         }
         baseline = {
             "headline_seconds": 1.0,
-            "parallel": {"parallel_qps": 100.0},
+            "sharded": {"single_process_qps": 100.0},
         }
         assert gate(current, baseline) == 1
         out = capsys.readouterr().out
-        assert "parallel.qps" in out and "REGRESSION" in out
+        assert "sharded.single_process_qps" in out and "REGRESSION" in out
 
     def test_qps_within_floor_ok(self, gate, capsys):
-        current = {"headline_seconds": 1.0, "parallel": {"parallel_qps": 90.0}}
-        baseline = {"headline_seconds": 1.0, "parallel": {"parallel_qps": 100.0}}
+        current = {"headline_seconds": 1.0, "sharded": {"single_process_qps": 90.0}}
+        baseline = {"headline_seconds": 1.0, "sharded": {"single_process_qps": 100.0}}
         assert gate(current, baseline) == 0
-        assert "parallel.qps" in capsys.readouterr().out
+        assert "sharded.single_process_qps" in capsys.readouterr().out
 
     def test_qps_improvement_ok(self, gate, capsys):
         # qps regresses downward; a 10x gain must never trip the gate
-        current = {"headline_seconds": 1.0, "parallel": {"parallel_qps": 1000.0}}
-        baseline = {"headline_seconds": 1.0, "parallel": {"parallel_qps": 100.0}}
+        current = {"headline_seconds": 1.0, "sharded": {"single_process_qps": 1000.0}}
+        baseline = {"headline_seconds": 1.0, "sharded": {"single_process_qps": 100.0}}
         assert gate(current, baseline) == 0
         assert "OK" in capsys.readouterr().out
 
@@ -144,19 +144,19 @@ class TestMainExitCodes:
         assert "sharded.w2.qps: baseline has no such figure; skipping" in out
 
     def test_custom_qps_factor(self, gate, capsys):
-        current = {"headline_seconds": 1.0, "parallel": {"parallel_qps": 60.0}}
-        baseline = {"headline_seconds": 1.0, "parallel": {"parallel_qps": 100.0}}
+        current = {"headline_seconds": 1.0, "sharded": {"single_process_qps": 60.0}}
+        baseline = {"headline_seconds": 1.0, "sharded": {"single_process_qps": 100.0}}
         assert gate(current, baseline, "--qps-factor", "1.25") == 1
         assert gate(current, baseline, "--qps-factor", "2.0") == 0
 
     def test_unusable_qps_values_ignored(self, gate, capsys):
         current = {
             "headline_seconds": 1.0,
-            "parallel": {"parallel_qps": "fast"},
-            "sharded": {"workers": [{"workers": True, "qps": 5.0},
+            "sharded": {"single_process_qps": "fast",
+                        "workers": [{"workers": True, "qps": 5.0},
                                     {"workers": 2, "qps": -1.0}, "junk"]},
         }
-        baseline = {"headline_seconds": 1.0, "parallel": {"parallel_qps": 100.0}}
+        baseline = {"headline_seconds": 1.0, "sharded": {"single_process_qps": 100.0}}
         assert gate(current, baseline) == 0
         assert "qps" not in capsys.readouterr().out
 

@@ -371,13 +371,6 @@ class TestQueryExecutor:
         with pytest.raises(ValueError):
             QueryExecutor(_tiny_index(), threads=0)
 
-    def test_results_unwraps(self):
-        index = _tiny_index()
-        with QueryExecutor(index, threads=2, verify=True) as executor:
-            assert executor.results(["/site//item"]) == [
-                index.query("/site//item", verify=True)
-            ]
-
     def test_outcome_repr_hides_guard(self):
         outcome = QueryOutcome(position=0, query="/q", guard=QueryGuard())
         assert "guard" not in repr(outcome)
